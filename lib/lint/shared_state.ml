@@ -97,8 +97,6 @@ let manifest =
       "cache on/off knob set by the CLI before queries run";
     e "lib/relstore/query_exec.ml" "matview_sources" Single_writer
       "view registrations happen during setup, reads on the query path";
-    e "lib/relstore/query_exec.ml" "misestimate_threshold" Read_only_after_init
-      "tuning constant, never reassigned outside tests";
     e "lib/relstore/query_exec.ml" "query_span_threshold_ns" Read_only_after_init
       "tuning constant, never reassigned outside tests";
     (* lint *)

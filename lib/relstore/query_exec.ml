@@ -74,6 +74,24 @@ let plan_name = function
   | Index_eq _ -> "index_eq"
   | Index_range _ -> "index_range"
 
+(* Resolve the access path to candidate rowids without touching the row
+   heap ([None] = scan: every rowid, enumerated by the fetch phase).  A
+   range's ids come out reversed, the order its fold accumulates; the
+   fetch's [rev_map] restores index order without another list. *)
+let probe_rowids access =
+  match access with
+  | A_scan -> None
+  | A_eq (idx, key) -> Some (Index.find idx key)
+  | A_range (idx, lo, hi) ->
+    Some (fold_bound_range idx lo hi ~init:[] ~f:(fun acc _key rowid -> rowid :: acc))
+
+let fetch_rows table access rowids =
+  let fetch rowid = (rowid, Table.get table rowid) in
+  match (access, rowids) with
+  | _, None -> Table.rows table
+  | A_range _, Some ids -> List.rev_map fetch ids
+  | (A_eq _ | A_scan), Some ids -> List.map fetch ids
+
 type plan_detail = {
   chosen : plan;
   estimated_rows : int;
@@ -89,10 +107,7 @@ type plan_detail = {
 let plan_detail_heuristic table where =
   let access = access_for table where in
   let estimated_rows =
-    match access with
-    | A_scan -> Table.row_count table
-    | A_eq (idx, key) -> List.length (Index.find idx key)
-    | A_range (idx, lo, hi) -> fold_bound_range idx lo hi ~init:0 ~f:(fun acc _ _ -> acc + 1)
+    match probe_rowids access with Some ids -> List.length ids | None -> Table.row_count table
   in
   { chosen = plan_of_access access; estimated_rows; table_rows = Table.row_count table;
     est_from_stats = false }
@@ -133,14 +148,10 @@ let estimate_access ts access ~table_rows =
   end
 
 (* Misestimate detector: when a fresh-stats estimate was served and the
-   actual row count disagrees by more than the threshold ratio in
-   either direction, tick the counter and leave a flight-recorder
-   incident pointing at the table (the cue to re-analyze). *)
-let misestimate_threshold = ref 10.0
-
-let set_misestimate_threshold r =
-  if r < 1.0 then invalid_arg "Query_exec.set_misestimate_threshold: must be >= 1.0";
-  misestimate_threshold := r
+   actual row count disagrees by more than this ratio in either
+   direction, tick the counter and leave a flight-recorder incident
+   pointing at the table (the cue to re-analyze). *)
+let misestimate_threshold = 10.0
 
 let note_estimate ~op table where ~actual =
   if Obs.Metrics.enabled () then
@@ -150,7 +161,7 @@ let note_estimate ~op table where ~actual =
       let est = Float.max 1.0 (Stats.estimate_rows ts where) in
       let act = Float.max 1.0 (float_of_int actual) in
       let ratio = Float.max (act /. est) (est /. act) in
-      if ratio > !misestimate_threshold then begin
+      if ratio > misestimate_threshold then begin
         Obs.Metrics.incr m_misestimates;
         Obs.Flight.record "stats.misestimate"
           ~attrs:
@@ -162,17 +173,6 @@ let note_estimate ~op table where ~actual =
               ("ratio", Printf.sprintf "%.1f" ratio);
             ]
       end
-
-let rows_of_access table = function
-  | A_eq (idx, key) ->
-    List.map (fun rowid -> (rowid, Table.get table rowid)) (Index.find idx key)
-  | A_range (idx, lo, hi) ->
-    let hits =
-      fold_bound_range idx lo hi ~init:[] ~f:(fun acc _key rowid ->
-          (rowid, Table.get table rowid) :: acc)
-    in
-    List.rev hits
-  | A_scan -> Table.rows table
 
 (* --- instrumentation ------------------------------------------------ *)
 
@@ -199,7 +199,7 @@ let query_span_threshold_ns = ref 100_000
 
 let set_query_span_threshold_ns n = query_span_threshold_ns := n
 
-let executed ~op ~table_name ?(detail = fun () -> "") run =
+let executed ~op ~table_name ~detail run =
   if not (Obs.Metrics.enabled ()) then begin
     let result, plan, scanned, returned = run () in
     (result, { plan; rows_scanned = scanned; rows_returned = returned; elapsed_ns = 0 })
@@ -240,12 +240,98 @@ let executed ~op ~table_name ?(detail = fun () -> "") run =
     (result, { plan; rows_scanned = scanned; rows_returned = returned; elapsed_ns = elapsed })
   end
 
+(* --- sinks: plain runs and EXPLAIN ANALYZE ---------------------------- *)
+
+type profile = {
+  op : string;
+  detail : string;
+  rows_in : int;
+  rows_out : int;
+  est_rows : int option;
+      (* catalog estimate of rows_out, present when fresh stats existed *)
+  dur_ns : int;
+  children : profile list;
+}
+
+(* Each operator body below is written once and reports its phase
+   boundaries to a sink.  Under [Null] a boundary is a no-op and the
+   body yields [()]; under [Profiling] each boundary reads the clock and
+   the body yields a profile tree.  Consecutive phases share boundary
+   timestamps, so leaf durations tile the root interval exactly: the
+   sum of leaf dur_ns equals the root dur_ns up to clock monotonicity.
+   Unlike [exec_stats.elapsed_ns], profile timing does not depend on
+   the observability switch — choosing the profiling sink is the
+   opt-in. *)
+type _ sink = Null : unit sink | Profiling : profile sink
+
+let[@inline] mark : type p. p sink -> int64 = function
+  | Null -> 0L
+  | Profiling -> Provkit_util.Timing.now_ns ()
+
+let ns_between a b = Int64.to_int (Int64.sub b a)
+
+let access_detail = function
+  | A_scan -> "heap_scan"
+  | A_eq (idx, _) -> Printf.sprintf "index_eq(%s)" (Index.name idx)
+  | A_range (idx, _, _) -> Printf.sprintf "index_range(%s)" (Index.name idx)
+
+let leaf ?est op detail rows_in rows_out a b =
+  { op; detail; rows_in; rows_out; est_rows = est; dur_ns = ns_between a b; children = [] }
+
+let round_est f = Some (int_of_float (Float.round f))
+
+(* The probe and fetch phases every single-table operator starts with. *)
+type fetched = {
+  access : access;
+  rowids : int list option;
+  cands : (int * Row.t) list;
+  n_cands : int;
+  probe_est : int option;
+  filter_est : int option;
+  t0 : int64;
+  t1 : int64;
+  t2 : int64;
+}
+
+let probe_and_fetch (type p) (sink : p sink) table where =
+  let t0 = mark sink in
+  let access = access_for table where in
+  (* The profiling sink's per-operator estimates, from one fresh-stats
+     lookup: the probe phase gets the access-path estimate, the filter
+     phase (and the root) the post-predicate estimate. *)
+  let probe_est, filter_est =
+    match sink with
+    | Null -> (None, None)
+    | Profiling -> (
+      match Stats.fresh table with
+      | None -> (None, None)
+      | Some ts ->
+        ( round_est (estimate_access ts access ~table_rows:(Table.row_count table)),
+          round_est (Stats.estimate_rows ts where) ))
+  in
+  let rowids = probe_rowids access in
+  let t1 = mark sink in
+  let cands = fetch_rows table access rowids in
+  let n_cands = List.length cands in
+  let t2 = mark sink in
+  { access; rowids; cands; n_cands; probe_est; filter_est; t0; t1; t2 }
+
+let fetched_leaves table f =
+  let table_rows = Table.row_count table in
+  let probed = match f.rowids with Some ids -> List.length ids | None -> table_rows in
+  [
+    leaf ?est:f.probe_est "probe" (access_detail f.access) table_rows probed f.t0 f.t1;
+    leaf "fetch"
+      (match f.access with A_scan -> "heap_scan" | A_eq _ | A_range _ -> "rowid_fetch")
+      probed f.n_cands f.t1 f.t2;
+  ]
+
 (* --- result cache --------------------------------------------------- *)
 
 (* The plain [select]/[count]/[group_count] entry points consult a
    process-wide LRU keyed by (table uid, op, predicate, order, limit)
-   and validated against the table's modification epoch.  The [*_stats]
-   and [*_profiled] variants never do: their callers asked to see the
+   and validated against the table's modification epoch.  The
+   [*_observed] entry points never do: their callers asked to see the
    execution, so they always run it.  Predicates containing a [Custom]
    closure are uncacheable and bypass the cache entirely. *)
 
@@ -264,7 +350,7 @@ let cache_length () = Query_cache.length cache
 let clear_cache () = Query_cache.clear cache
 
 (* None = this query cannot be keyed (Custom predicate): run cold. *)
-let cache_key ~op ?(aux = "") ~order_by ~limit table where =
+let cache_key ~op ~aux ~order_by ~limit table where =
   let buf = Buffer.create 64 in
   Varint.write_unsigned buf (Table.uid table);
   Codec.write_string buf op;
@@ -289,30 +375,6 @@ let cache_key ~op ?(aux = "") ~order_by ~limit table where =
       Varint.write_unsigned buf n);
     Some (Buffer.contents buf)
   end
-
-(* Serve from the cache or run [cold] and fill.  [decode] projects the
-   stored payload back out; the op tag inside the key guarantees the
-   constructor matches. *)
-let with_cache ~key ~table ~decode ~encode cold =
-  match key with
-  | None -> cold ()
-  | Some key ->
-    let epoch = Table.epoch table in
-    let miss () =
-      Obs.Metrics.incr m_cache_misses;
-      let result = cold () in
-      let evicted = Query_cache.put cache ~key ~epoch (encode result) in
-      Obs.Metrics.add m_cache_evictions evicted;
-      result
-    in
-    (match Query_cache.find cache ~key ~epoch with
-    | Query_cache.Hit payload ->
-      Obs.Metrics.incr m_cache_hits;
-      decode payload
-    | Query_cache.Stale ->
-      Obs.Metrics.incr m_cache_invalidations;
-      miss ()
-    | Query_cache.Absent -> miss ())
 
 (* --- matview sources ------------------------------------------------ *)
 
@@ -363,6 +425,35 @@ let matview_lookup ~op ~aux table where ~order_by ~limit =
     | Some _ | None -> None)
   | _ -> None
 
+(* The stage every plain entry point wraps around its cold body: a
+   fresh matview source, else the result cache (filled on a miss), else
+   [cold].  [decode] projects a stored payload back out; the op tag
+   inside the key guarantees the constructor matches. *)
+let served ~op ~aux ~order_by ~limit table where ~decode ~encode cold =
+  match matview_lookup ~op ~aux table where ~order_by ~limit with
+  | Some payload -> decode payload
+  | None -> (
+    let key = if !cache_enabled then cache_key ~op ~aux ~order_by ~limit table where else None in
+    match key with
+    | None -> cold ()
+    | Some key -> (
+      let epoch = Table.epoch table in
+      let miss () =
+        Obs.Metrics.incr m_cache_misses;
+        let result = cold () in
+        let evicted = Query_cache.put cache ~key ~epoch (encode result) in
+        Obs.Metrics.add m_cache_evictions evicted;
+        result
+      in
+      match Query_cache.find cache ~key ~epoch with
+      | Query_cache.Hit payload ->
+        Obs.Metrics.incr m_cache_hits;
+        decode payload
+      | Query_cache.Stale ->
+        Obs.Metrics.incr m_cache_invalidations;
+        miss ()
+      | Query_cache.Absent -> miss ()))
+
 (* --- execution ------------------------------------------------------ *)
 
 let compare_rows schema order_by (ra_id, ra) (rb_id, rb) =
@@ -379,356 +470,142 @@ let compare_rows schema order_by (ra_id, ra) (rb_id, rb) =
    for pretty-printing their predicate. *)
 let pred_detail where () = Format.asprintf "%a" Predicate.pp where
 
-let select_stats ?(where = Predicate.True) ?(order_by = []) ?limit table =
+let select_observed (type p) (sink : p sink) ?(where = Predicate.True) ?(order_by = []) ?limit
+    table : (int * Row.t) list * exec_stats * p =
   let schema = Table.schema table in
-  executed ~op:"select" ~table_name:(Table.name table) ~detail:(pred_detail where) (fun () ->
-      let access = access_for table where in
-      let cands = rows_of_access table access in
-      let hits =
-        List.filter (fun (_, row) -> Predicate.eval where schema row) cands
-      in
-      let sorted =
-        match order_by with
-        | [] -> List.sort (fun (a, _) (b, _) -> Int.compare a b) hits
-        | _ -> List.sort (compare_rows schema order_by) hits
-      in
-      let final =
-        match limit with
-        | None -> sorted
-        | Some n -> List.filteri (fun i _ -> i < n) sorted
-      in
-      (final, plan_of_access access, List.length cands, List.length final))
-
-let select ?(where = Predicate.True) ?(order_by = []) ?limit table =
-  if not !cache_enabled then fst (select_stats ~where ~order_by ?limit table)
-  else
-    with_cache
-      ~key:(cache_key ~op:"select" ~order_by ~limit table where)
-      ~table
-      ~decode:(fun payload ->
-        match payload with
-        | Query_cache.Rows rows -> rows
-        | Query_cache.Count _ | Query_cache.Groups _ -> assert false)
-      ~encode:(fun rows -> Query_cache.Rows rows)
-      (fun () -> fst (select_stats ~where ~order_by ?limit table))
-
-let count_stats ?(where = Predicate.True) table =
-  let schema = Table.schema table in
-  executed ~op:"count" ~table_name:(Table.name table) ~detail:(pred_detail where) (fun () ->
-      let access = access_for table where in
-      let cands = rows_of_access table access in
-      let n =
-        List.length (List.filter (fun (_, row) -> Predicate.eval where schema row) cands)
-      in
-      (n, plan_of_access access, List.length cands, 1))
-
-let count ?(where = Predicate.True) table =
-  match matview_lookup ~op:"count" ~aux:"" table where ~order_by:[] ~limit:None with
-  | Some (Query_cache.Count n) -> n
-  | Some (Query_cache.Rows _ | Query_cache.Groups _) -> assert false
-  | None ->
-  if not !cache_enabled then fst (count_stats ~where table)
-  else
-    with_cache
-      ~key:(cache_key ~op:"count" ~order_by:[] ~limit:None table where)
-      ~table
-      ~decode:(fun payload ->
-        match payload with
-        | Query_cache.Count n -> n
-        | Query_cache.Rows _ | Query_cache.Groups _ -> assert false)
-      ~encode:(fun n -> Query_cache.Count n)
-      (fun () -> fst (count_stats ~where table))
-
-let join_stats ?(where_left = Predicate.True) ?(where_right = Predicate.True)
-    ~on left right =
-  let left_cols = List.map fst on and right_cols = List.map snd on in
-  let lschema = Table.schema left in
-  let rschema = Table.schema right in
-  (* The reported plan is the right side's probe path — the decision
-     this executor makes (the left side records its own select).  Rows
-     scanned counts the probed/hashed right rows. *)
-  let scanned = ref 0 in
-  executed ~op:"join" ~table_name:(Table.name right)
-    ~detail:(fun () -> "on " ^ String.concat "," (List.map snd on))
-    (fun () ->
-      let left_rows = select ~where:where_left left in
-      let key_of_left (_, row) = List.map (Row.get lschema row) left_cols in
-      let plan, right_matches =
-        match Table.find_index_on right right_cols with
-        | Some idx ->
-          ( Index_eq (Index.name idx),
-            fun key ->
-              List.filter_map
-                (fun rowid ->
-                  incr scanned;
-                  let row = Table.get right rowid in
-                  if Predicate.eval where_right rschema row then Some (rowid, row) else None)
-                (Index.find idx key) )
-        | None ->
-          (* Build a one-shot hash join table. *)
-          let tbl = Hashtbl.create 256 in
-          List.iter
-            (fun (rowid, row) ->
-              incr scanned;
-              let key = List.map (Row.get rschema row) right_cols in
-              Hashtbl.add tbl key (rowid, row))
-            (select ~where:where_right right);
-          (Full_scan, fun key -> List.rev (Hashtbl.find_all tbl key))
-      in
-      let pairs =
-        List.concat_map
-          (fun l -> List.map (fun r -> (l, r)) (right_matches (key_of_left l)))
-          left_rows
-      in
-      (pairs, plan, !scanned, List.length pairs))
-
-let join ?where_left ?where_right ~on left right =
-  fst (join_stats ?where_left ?where_right ~on left right)
-
-let group_count_stats ~by ?(where = Predicate.True) table =
-  let schema = Table.schema table in
-  executed ~op:"group_count" ~table_name:(Table.name table) ~detail:(pred_detail where)
-    (fun () ->
-      let access = access_for table where in
-      let cands = rows_of_access table access in
-      let counts = Hashtbl.create 64 in
-      List.iter
-        (fun (_, row) ->
-          if Predicate.eval where schema row then begin
-            let key = Row.get schema row by in
-            let n = Option.value ~default:0 (Hashtbl.find_opt counts key) in
-            Hashtbl.replace counts key (n + 1)
-          end)
-        cands;
-      let pairs = Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] in
-      let sorted =
-        List.sort
-          (fun (ka, na) (kb, nb) ->
-            let c = Int.compare nb na in
-            if c <> 0 then c else Value.compare ka kb)
-          pairs
-      in
-      (sorted, plan_of_access access, List.length cands, List.length sorted))
-
-let group_count ~by ?(where = Predicate.True) table =
-  match matview_lookup ~op:"group_count" ~aux:by table where ~order_by:[] ~limit:None with
-  | Some (Query_cache.Groups groups) -> groups
-  | Some (Query_cache.Rows _ | Query_cache.Count _) -> assert false
-  | None ->
-  if not !cache_enabled then fst (group_count_stats ~by ~where table)
-  else
-    with_cache
-      ~key:(cache_key ~op:"group_count" ~aux:by ~order_by:[] ~limit:None table where)
-      ~table
-      ~decode:(fun payload ->
-        match payload with
-        | Query_cache.Groups groups -> groups
-        | Query_cache.Rows _ | Query_cache.Count _ -> assert false)
-      ~encode:(fun groups -> Query_cache.Groups groups)
-      (fun () -> fst (group_count_stats ~by ~where table))
-
-(* --- profiling (EXPLAIN ANALYZE) ------------------------------------ *)
-
-type profile = {
-  op : string;
-  detail : string;
-  rows_in : int;
-  rows_out : int;
-  est_rows : int option;
-      (* catalog estimate of rows_out, present when fresh stats existed *)
-  dur_ns : int;
-  children : profile list;
-}
-
-(* Profiled variants re-run the same operator sequence with a clock
-   read at every phase boundary.  Consecutive phases share boundary
-   timestamps, so leaf durations tile the root interval exactly: the
-   sum of leaf dur_ns equals the root dur_ns up to clock monotonicity.
-   Unlike [exec_stats.elapsed_ns], profile timing does not depend on
-   the observability switch — calling a [*_profiled] entry point is the
-   opt-in. *)
-
-let now_ns () = Provkit_util.Timing.now_ns ()
-
-let ns_between a b = Int64.to_int (Int64.sub b a)
-
-let access_detail = function
-  | A_scan -> "heap_scan"
-  | A_eq (idx, _) -> Printf.sprintf "index_eq(%s)" (Index.name idx)
-  | A_range (idx, _, _) -> Printf.sprintf "index_range(%s)" (Index.name idx)
-
-let leaf ?est op detail rows_in rows_out a b =
-  { op; detail; rows_in; rows_out; est_rows = est; dur_ns = ns_between a b; children = [] }
-
-(* Per-operator estimates for the profiled variants, all from one
-   fresh-stats lookup: the probe phase gets the access-path estimate,
-   the filter phase (and the root) the post-predicate estimate. *)
-let round_est f = Some (int_of_float (Float.round f))
-
-let profile_estimates table where access =
-  match Stats.fresh table with
-  | None -> (None, None)
-  | Some ts ->
-    ( round_est (estimate_access ts access ~table_rows:(Table.row_count table)),
-      round_est (Stats.estimate_rows ts where) )
-
-(* Resolve the access path to candidate rowids without touching the row
-   heap ([None] = scan: every rowid, enumerated by the fetch phase). *)
-let probe_rowids access =
-  match access with
-  | A_scan -> None
-  | A_eq (idx, key) -> Some (Index.find idx key)
-  | A_range (idx, lo, hi) ->
-      Some (List.rev (fold_bound_range idx lo hi ~init:[] ~f:(fun acc _key rowid -> rowid :: acc)))
-
-let fetch_rows table rowids =
-  match rowids with
-  | Some ids -> List.map (fun rowid -> (rowid, Table.get table rowid)) ids
-  | None -> Table.rows table
-
-let fetch_detail access =
-  match access with A_scan -> "heap_scan" | A_eq _ | A_range _ -> "rowid_fetch"
-
-let select_profiled ?(where = Predicate.True) ?(order_by = []) ?limit table =
-  let schema = Table.schema table in
-  let table_rows = Table.row_count table in
-  let profile = ref None in
-  let final, stats =
-    executed ~op:"select" ~table_name:(Table.name table) ~detail:(pred_detail where)
-      (fun () ->
-        let t0 = now_ns () in
-        let access = access_for table where in
-        let probe_est, filter_est = profile_estimates table where access in
-        let rowids = probe_rowids access in
-        let t1 = now_ns () in
-        let cands = fetch_rows table rowids in
-        let n_cands = List.length cands in
-        let t2 = now_ns () in
-        let hits = List.filter (fun (_, row) -> Predicate.eval where schema row) cands in
-        let n_hits = List.length hits in
-        let t3 = now_ns () in
+  let (final, profile), stats =
+    executed ~op:"select" ~table_name:(Table.name table) ~detail:(pred_detail where) (fun () ->
+        let f = probe_and_fetch sink table where in
+        let hits = List.filter (fun (_, row) -> Predicate.eval where schema row) f.cands in
+        let t3 = mark sink in
         let sorted =
           match order_by with
           | [] -> List.sort (fun (a, _) (b, _) -> Int.compare a b) hits
           | _ :: _ -> List.sort (compare_rows schema order_by) hits
         in
-        let t4 = now_ns () in
+        let t4 = mark sink in
         let final =
           match limit with
           | None -> sorted
           | Some n -> List.filteri (fun i _ -> i < n) sorted
         in
-        let t5 = now_ns () in
+        let t5 = mark sink in
         let n_final = List.length final in
-        let probed = match rowids with Some ids -> List.length ids | None -> table_rows in
-        note_estimate ~op:"select" table where ~actual:n_hits;
-        profile :=
-          Some
+        let profile : p =
+          match sink with
+          | Null -> ()
+          | Profiling ->
+            (* [sorted], not [hits]: naming [hits] here would keep that
+               list alive through the sort and limit phases. *)
+            let n_hits = List.length sorted in
+            note_estimate ~op:"select" table where ~actual:n_hits;
             {
               op = "select";
               detail = Table.name table;
-              rows_in = table_rows;
+              rows_in = Table.row_count table;
               rows_out = n_final;
-              est_rows = filter_est;
-              dur_ns = ns_between t0 t5;
+              est_rows = f.filter_est;
+              dur_ns = ns_between f.t0 t5;
               children =
-                [
-                  leaf ?est:probe_est "probe" (access_detail access) table_rows probed t0 t1;
-                  leaf "fetch" (fetch_detail access) probed n_cands t1 t2;
-                  leaf ?est:filter_est "filter" "residual_predicate" n_cands n_hits t2 t3;
-                  leaf "sort"
-                    (match order_by with [] -> "rowid_order" | _ :: _ -> "order_by")
-                    n_hits n_hits t3 t4;
-                  leaf "limit"
-                    (match limit with None -> "none" | Some n -> string_of_int n)
-                    n_hits n_final t4 t5;
-                ];
-            };
-        (final, plan_of_access access, n_cands, n_final))
-  in
-  match !profile with Some p -> (final, stats, p) | None -> assert false
-
-let count_profiled ?(where = Predicate.True) table =
-  let schema = Table.schema table in
-  let table_rows = Table.row_count table in
-  let profile = ref None in
-  let n, stats =
-    executed ~op:"count" ~table_name:(Table.name table) ~detail:(pred_detail where)
-      (fun () ->
-        let t0 = now_ns () in
-        let access = access_for table where in
-        let probe_est, filter_est = profile_estimates table where access in
-        let rowids = probe_rowids access in
-        let t1 = now_ns () in
-        let cands = fetch_rows table rowids in
-        let n_cands = List.length cands in
-        let t2 = now_ns () in
-        let n =
-          List.length (List.filter (fun (_, row) -> Predicate.eval where schema row) cands)
+                fetched_leaves table f
+                @ [
+                    leaf ?est:f.filter_est "filter" "residual_predicate" f.n_cands n_hits f.t2 t3;
+                    leaf "sort"
+                      (match order_by with [] -> "rowid_order" | _ :: _ -> "order_by")
+                      n_hits n_hits t3 t4;
+                    leaf "limit"
+                      (match limit with None -> "none" | Some n -> string_of_int n)
+                      n_hits n_final t4 t5;
+                  ];
+            }
         in
-        let t3 = now_ns () in
-        let probed = match rowids with Some ids -> List.length ids | None -> table_rows in
-        note_estimate ~op:"count" table where ~actual:n;
-        profile :=
-          Some
+        ((final, profile), plan_of_access f.access, f.n_cands, n_final))
+  in
+  (final, stats, profile)
+
+let select ?(where = Predicate.True) ?(order_by = []) ?limit table =
+  served ~op:"select" ~aux:"" ~order_by ~limit table where
+    ~decode:(function
+      | Query_cache.Rows rows -> rows
+      | Query_cache.Count _ | Query_cache.Groups _ -> assert false)
+    ~encode:(fun rows -> Query_cache.Rows rows)
+    (fun () ->
+      let rows, _, () = select_observed Null ~where ~order_by ?limit table in
+      rows)
+
+let count_observed (type p) (sink : p sink) ?(where = Predicate.True) table : int * exec_stats * p
+    =
+  let schema = Table.schema table in
+  let (n, profile), stats =
+    executed ~op:"count" ~table_name:(Table.name table) ~detail:(pred_detail where) (fun () ->
+        let f = probe_and_fetch sink table where in
+        let n =
+          List.fold_left
+            (fun acc (_, row) -> if Predicate.eval where schema row then acc + 1 else acc)
+            0 f.cands
+        in
+        let t3 = mark sink in
+        let profile : p =
+          match sink with
+          | Null -> ()
+          | Profiling ->
+            note_estimate ~op:"count" table where ~actual:n;
             {
               op = "count";
               detail = Table.name table;
-              rows_in = table_rows;
+              rows_in = Table.row_count table;
               rows_out = 1;
               est_rows = None;
-              dur_ns = ns_between t0 t3;
+              dur_ns = ns_between f.t0 t3;
               children =
-                [
-                  leaf ?est:probe_est "probe" (access_detail access) table_rows probed t0 t1;
-                  leaf "fetch" (fetch_detail access) probed n_cands t1 t2;
-                  leaf ?est:filter_est "filter" "residual_predicate" n_cands n t2 t3;
-                ];
-            };
-        (n, plan_of_access access, n_cands, 1))
+                fetched_leaves table f
+                @ [ leaf ?est:f.filter_est "filter" "residual_predicate" f.n_cands n f.t2 t3 ];
+            }
+        in
+        ((n, profile), plan_of_access f.access, f.n_cands, 1))
   in
-  match !profile with Some p -> (n, stats, p) | None -> assert false
+  (n, stats, profile)
 
-let group_count_profiled ~by ?(where = Predicate.True) table =
+let count ?(where = Predicate.True) table =
+  served ~op:"count" ~aux:"" ~order_by:[] ~limit:None table where
+    ~decode:(function
+      | Query_cache.Count n -> n
+      | Query_cache.Rows _ | Query_cache.Groups _ -> assert false)
+    ~encode:(fun n -> Query_cache.Count n)
+    (fun () ->
+      let n, _, () = count_observed Null ~where table in
+      n)
+
+(* The aggregate phase's output is groups, not rows: cap the
+   filtered-row estimate by the grouping column's NDV. *)
+let group_estimate table by filter_est =
+  match (Stats.fresh table, filter_est) with
+  | Some ts, Some est -> begin
+    match List.assoc_opt by ts.Stats.ts_columns with
+    | Some cs -> round_est (Float.min cs.Stats.cs_ndv (float_of_int est))
+    | None -> None
+  end
+  | _ -> None
+
+let group_count_observed (type p) (sink : p sink) ~by ?(where = Predicate.True) table :
+    (Value.t * int) list * exec_stats * p =
   let schema = Table.schema table in
-  let table_rows = Table.row_count table in
-  let profile = ref None in
-  let pairs, stats =
+  let (sorted, profile), stats =
     executed ~op:"group_count" ~table_name:(Table.name table) ~detail:(pred_detail where)
       (fun () ->
-        let t0 = now_ns () in
-        let access = access_for table where in
-        let probe_est, filter_est = profile_estimates table where access in
-        (* The aggregate phase's output is groups, not rows: cap the
-           filtered-row estimate by the grouping column's NDV. *)
-        let group_est =
-          match (Stats.fresh table, filter_est) with
-          | Some ts, Some est -> begin
-            match List.assoc_opt by ts.Stats.ts_columns with
-            | Some cs -> round_est (Float.min cs.Stats.cs_ndv (float_of_int est))
-            | None -> None
-          end
-          | _ -> None
-        in
-        let rowids = probe_rowids access in
-        let t1 = now_ns () in
-        let cands = fetch_rows table rowids in
-        let n_cands = List.length cands in
-        let t2 = now_ns () in
+        let f = probe_and_fetch sink table where in
         let counts = Hashtbl.create 64 in
-        let matched = ref 0 in
         List.iter
           (fun (_, row) ->
             if Predicate.eval where schema row then begin
-              incr matched;
               let key = Row.get schema row by in
               let n = Option.value ~default:0 (Hashtbl.find_opt counts key) in
               Hashtbl.replace counts key (n + 1)
             end)
-          cands;
+          f.cands;
         let groups = Hashtbl.fold (fun k n acc -> (k, n) :: acc) counts [] in
         let n_groups = List.length groups in
-        let t3 = now_ns () in
+        let t3 = mark sink in
         let sorted =
           List.sort
             (fun (ka, na) (kb, nb) ->
@@ -736,86 +613,115 @@ let group_count_profiled ~by ?(where = Predicate.True) table =
               if c <> 0 then c else Value.compare ka kb)
             groups
         in
-        let t4 = now_ns () in
-        let probed = match rowids with Some ids -> List.length ids | None -> table_rows in
-        note_estimate ~op:"group_count" table where ~actual:!matched;
-        profile :=
-          Some
+        let t4 = mark sink in
+        let profile : p =
+          match sink with
+          | Null -> ()
+          | Profiling ->
+            let matched = List.fold_left (fun acc (_, n) -> acc + n) 0 groups in
+            note_estimate ~op:"group_count" table where ~actual:matched;
             {
               op = "group_count";
               detail = Table.name table;
-              rows_in = table_rows;
+              rows_in = Table.row_count table;
               rows_out = n_groups;
               est_rows = None;
-              dur_ns = ns_between t0 t4;
+              dur_ns = ns_between f.t0 t4;
               children =
-                [
-                  leaf ?est:probe_est "probe" (access_detail access) table_rows probed t0 t1;
-                  leaf "fetch" (fetch_detail access) probed n_cands t1 t2;
-                  leaf ?est:group_est "aggregate" ("group_by(" ^ by ^ ")") n_cands n_groups t2
-                    t3;
-                  leaf "sort" "count_desc" n_groups n_groups t3 t4;
-                ];
-            };
-        (sorted, plan_of_access access, n_cands, n_groups))
+                fetched_leaves table f
+                @ [
+                    leaf
+                      ?est:(group_estimate table by f.filter_est)
+                      "aggregate" ("group_by(" ^ by ^ ")") f.n_cands n_groups f.t2 t3;
+                    leaf "sort" "count_desc" n_groups n_groups t3 t4;
+                  ];
+            }
+        in
+        ((sorted, profile), plan_of_access f.access, f.n_cands, n_groups))
   in
-  match !profile with Some p -> (pairs, stats, p) | None -> assert false
+  (sorted, stats, profile)
 
-let join_profiled ?(where_left = Predicate.True) ?(where_right = Predicate.True) ~on left right =
+let group_count ~by ?(where = Predicate.True) table =
+  served ~op:"group_count" ~aux:by ~order_by:[] ~limit:None table where
+    ~decode:(function
+      | Query_cache.Groups groups -> groups
+      | Query_cache.Rows _ | Query_cache.Count _ -> assert false)
+    ~encode:(fun groups -> Query_cache.Groups groups)
+    (fun () ->
+      let groups, _, () = group_count_observed Null ~by ~where table in
+      groups)
+
+let join_observed (type p) (sink : p sink) ?(where_left = Predicate.True)
+    ?(where_right = Predicate.True) ~on left right :
+    ((int * Row.t) * (int * Row.t)) list * exec_stats * p =
   let left_cols = List.map fst on and right_cols = List.map snd on in
   let lschema = Table.schema left in
   let rschema = Table.schema right in
+  (* The reported plan is the right side's probe path — the decision
+     this executor makes (the left side records its own select).  Rows
+     scanned counts the probed/hashed right rows. *)
   let scanned = ref 0 in
-  let profile = ref None in
-  let pairs, stats =
-    executed ~op:"join" ~table_name:(Table.name right) (fun () ->
-        let t0 = now_ns () in
+  let (pairs, profile), stats =
+    executed ~op:"join" ~table_name:(Table.name right)
+      ~detail:(fun () -> "on " ^ String.concat "," (List.map snd on))
+      (fun () ->
+        let t0 = mark sink in
         let left_rows = select ~where:where_left left in
-        let n_left = List.length left_rows in
-        let t1 = now_ns () in
+        let t1 = mark sink in
         let key_of_left (_, row) = List.map (Row.get lschema row) left_cols in
-        let plan, build_leaf, probe_detail, right_matches, t2 =
+        (* [built] is the hash path's (rows hashed, hash table); the
+           index path has no build phase, so its probe starts at [t1]. *)
+        let plan, built, right_matches, t2 =
           match Table.find_index_on right right_cols with
           | Some idx ->
-              let matches key =
+            ( Index_eq (Index.name idx),
+              None,
+              (fun key ->
                 List.filter_map
                   (fun rowid ->
                     incr scanned;
                     let row = Table.get right rowid in
                     if Predicate.eval where_right rschema row then Some (rowid, row) else None)
-                  (Index.find idx key)
-              in
-              ( Index_eq (Index.name idx),
-                None,
-                Printf.sprintf "index_eq(%s)" (Index.name idx),
-                matches,
-                t1 )
+                  (Index.find idx key)),
+              t1 )
           | None ->
-              let tbl = Hashtbl.create 256 in
-              let built = select ~where:where_right right in
-              List.iter
-                (fun (rowid, row) ->
-                  incr scanned;
-                  let key = List.map (Row.get rschema row) right_cols in
-                  Hashtbl.add tbl key (rowid, row))
-                built;
-              let t2 = now_ns () in
-              ( Full_scan,
-                Some
-                  (leaf "build" "hash_table" (List.length built) (Hashtbl.length tbl) t1 t2),
-                "hash_probe",
-                (fun key -> List.rev (Hashtbl.find_all tbl key)),
-                t2 )
+            (* Build a one-shot hash join table. *)
+            let tbl = Hashtbl.create 256 in
+            let rows = select ~where:where_right right in
+            List.iter
+              (fun (rowid, row) ->
+                incr scanned;
+                let key = List.map (Row.get rschema row) right_cols in
+                Hashtbl.add tbl key (rowid, row))
+              rows;
+            ( Full_scan,
+              Some (rows, tbl),
+              (fun key -> List.rev (Hashtbl.find_all tbl key)),
+              mark sink )
         in
         let pairs =
           List.concat_map
             (fun l -> List.map (fun r -> (l, r)) (right_matches (key_of_left l)))
             left_rows
         in
-        let t3 = now_ns () in
+        let t3 = mark sink in
         let n_pairs = List.length pairs in
-        profile :=
-          Some
+        let profile : p =
+          match sink with
+          | Null -> ()
+          | Profiling ->
+            let n_left = List.length left_rows in
+            let build =
+              match built with
+              | Some (rows, tbl) ->
+                [ leaf "build" "hash_table" (List.length rows) (Hashtbl.length tbl) t1 t2 ]
+              | None -> []
+            in
+            let probe_detail =
+              match plan with
+              | Index_eq name -> Printf.sprintf "index_eq(%s)" name
+              | Full_scan | Index_range _ -> "hash_probe"
+            in
             {
               op = "join";
               detail = Printf.sprintf "%s x %s" (Table.name left) (Table.name right);
@@ -824,13 +730,17 @@ let join_profiled ?(where_left = Predicate.True) ?(where_right = Predicate.True)
               est_rows = None;
               dur_ns = ns_between t0 t3;
               children =
-                [ leaf "left_input" (Table.name left) (Table.row_count left) n_left t0 t1 ]
-                @ (match build_leaf with None -> [] | Some b -> [ b ])
+                (leaf "left_input" (Table.name left) (Table.row_count left) n_left t0 t1 :: build)
                 @ [ leaf "probe" probe_detail n_left n_pairs t2 t3 ];
-            };
-        (pairs, plan, !scanned, n_pairs))
+            }
+        in
+        ((pairs, profile), plan, !scanned, n_pairs))
   in
-  match !profile with Some p -> (pairs, stats, p) | None -> assert false
+  (pairs, stats, profile)
+
+let join ?where_left ?where_right ~on left right =
+  let pairs, _, () = join_observed Null ?where_left ?where_right ~on left right in
+  pairs
 
 (* --- profile rendering ---------------------------------------------- *)
 

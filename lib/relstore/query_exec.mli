@@ -1,11 +1,16 @@
 (** Query execution over tables: selection with index acceleration,
     ordering, limits, and equi-joins.
 
-    Every operation is instrumented through {!Provkit_obs}: the chosen
-    plan, rows scanned vs. returned, and a latency histogram are
-    recorded per query (one branch of overhead when observability is
-    off).  The [*_stats] variants additionally return that information
-    to the caller — the [EXPLAIN] surface builds on them. *)
+    Each operation has one executor body, a pipeline of phases (probe,
+    fetch, filter, sort, …) that reports its phase boundaries to a
+    {!sink}.  The plain entry points ({!select}, {!count}, …) run it
+    with the null sink behind the matview and result-cache stage; the
+    [*_observed] entry points run it cold with the sink the caller
+    picks — {!Null} for the [EXPLAIN] statistics, {!Profiling} for the
+    [EXPLAIN ANALYZE] operator tree.  Every run is also instrumented
+    through {!Provkit_obs}: the chosen plan, rows scanned vs. returned,
+    and a latency histogram are recorded per query (one branch of
+    overhead when observability is off). *)
 
 type order = Asc of string | Desc of string
 
@@ -47,12 +52,6 @@ val plan_detail_heuristic : Table.t -> Predicate.t -> plan_detail
     compared against the stats-guided path.  Probes indexes (without
     touching the row heap) but never executes the query. *)
 
-val set_misestimate_threshold : float -> unit
-(** Ratio (either direction, default 10.0) between actual and
-    stats-estimated row counts beyond which a profiled query ticks
-    [prov.stats.misestimates.total] and records a [stats.misestimate]
-    flight-recorder incident.  Raises [Invalid_argument] below 1.0. *)
-
 type exec_stats = {
   plan : plan;  (** the access path actually used *)
   rows_scanned : int;  (** candidate rows the access path examined *)
@@ -77,17 +76,7 @@ val select :
     cold run would have returned — treat them as read-only, exactly as
     rows fetched from the table itself. *)
 
-val select_stats :
-  ?where:Predicate.t ->
-  ?order_by:order list ->
-  ?limit:int ->
-  Table.t ->
-  (int * Row.t) list * exec_stats
-(** {!select} plus the execution statistics for this query. *)
-
 val count : ?where:Predicate.t -> Table.t -> int
-
-val count_stats : ?where:Predicate.t -> Table.t -> int * exec_stats
 
 val join :
   ?where_left:Predicate.t ->
@@ -100,35 +89,16 @@ val join :
     matching column of the right row.  Probes a right-table index when
     one covers the join columns, else builds a hash table on the fly. *)
 
-val join_stats :
-  ?where_left:Predicate.t ->
-  ?where_right:Predicate.t ->
-  on:(string * string) list ->
-  Table.t ->
-  Table.t ->
-  ((int * Row.t) * (int * Row.t)) list * exec_stats
-(** {!join} plus statistics.  The reported plan is the right side's
-    probe path ([Index_eq] when an index covers the join columns, else
-    [Full_scan] for the hash build); [rows_scanned] counts the right
-    rows probed or hashed. *)
-
 val group_count : by:string -> ?where:Predicate.t -> Table.t -> (Value.t * int) list
 (** Row counts grouped by a column's value, sorted descending by count.
     Goes through the same plan selection as {!select}: an index
     satisfying [where] narrows the scanned candidates. *)
 
-val group_count_stats :
-  by:string -> ?where:Predicate.t -> Table.t -> (Value.t * int) list * exec_stats
+(** {2 Observed execution (EXPLAIN, EXPLAIN ANALYZE)}
 
-(** {2 Profiling (EXPLAIN ANALYZE)}
-
-    The [*_profiled] variants run the same operator sequence with a
-    clock read at every phase boundary and return a per-operator
-    {!profile} tree alongside the result.  Consecutive phases share
-    boundary timestamps, so the sum of leaf [dur_ns] values tiles the
-    root's interval exactly.  Unlike [exec_stats.elapsed_ns], profile
-    timing does not depend on the observability switch — calling a
-    profiled entry point is the opt-in. *)
+    The [*_observed] entry points run an operation's one executor body
+    cold — never from the result cache or a matview — and return its
+    {!exec_stats} plus whatever the {!sink} collected. *)
 
 type profile = {
   op : string;  (** operator: [select]/[probe]/[fetch]/[filter]/[sort]/[limit]/… *)
@@ -144,31 +114,53 @@ type profile = {
   children : profile list;
 }
 
-val select_profiled :
+(** Where an executor body reports its phase boundaries.
+
+    - [Null]: a boundary costs nothing — no clock read, no profile
+      node — and the body yields [()].
+    - [Profiling]: every boundary reads the clock and the body yields a
+      {!profile} tree.  Consecutive phases share boundary timestamps,
+      so the sum of leaf [dur_ns] values tiles the root's interval
+      exactly.  With fresh statistics the run also feeds the
+      misestimate detector: a count of rows satisfying the predicate
+      more than 10x off the catalog's estimate, either way, ticks
+      [prov.stats.misestimates.total] and records a [stats.misestimate]
+      flight-recorder incident.  Profile timing does not depend on the
+      observability switch — choosing this sink is the opt-in. *)
+type _ sink = Null : unit sink | Profiling : profile sink
+
+val select_observed :
+  'p sink ->
   ?where:Predicate.t ->
   ?order_by:order list ->
   ?limit:int ->
   Table.t ->
-  (int * Row.t) list * exec_stats * profile
-(** {!select_stats} plus an operator profile with children
-    [probe; fetch; filter; sort; limit]. *)
+  (int * Row.t) list * exec_stats * 'p
+(** {!select}, cold.  Profile children: [probe; fetch; filter; sort;
+    limit]. *)
 
-val count_profiled : ?where:Predicate.t -> Table.t -> int * exec_stats * profile
-(** Children: [probe; fetch; filter]. *)
+val count_observed : 'p sink -> ?where:Predicate.t -> Table.t -> int * exec_stats * 'p
+(** {!count}, cold.  Profile children: [probe; fetch; filter]. *)
 
-val group_count_profiled :
-  by:string -> ?where:Predicate.t -> Table.t -> (Value.t * int) list * exec_stats * profile
-(** Children: [probe; fetch; aggregate; sort]. *)
+val group_count_observed :
+  'p sink -> by:string -> ?where:Predicate.t -> Table.t -> (Value.t * int) list * exec_stats * 'p
+(** {!group_count}, cold.  Profile children: [probe; fetch; aggregate;
+    sort]. *)
 
-val join_profiled :
+val join_observed :
+  'p sink ->
   ?where_left:Predicate.t ->
   ?where_right:Predicate.t ->
   on:(string * string) list ->
   Table.t ->
   Table.t ->
-  ((int * Row.t) * (int * Row.t)) list * exec_stats * profile
-(** Children: [left_input; probe] on the index path,
-    [left_input; build; probe] on the hash path. *)
+  ((int * Row.t) * (int * Row.t)) list * exec_stats * 'p
+(** {!join} with its statistics.  The reported plan is the right
+    side's probe path ([Index_eq] when an index covers the join
+    columns, else [Full_scan] for the hash build); [rows_scanned]
+    counts the right rows probed or hashed.  Profile children:
+    [left_input; probe] on the index path, [left_input; build; probe]
+    on the hash path. *)
 
 val profile_to_json : profile -> string
 (** One nested JSON object
@@ -195,8 +187,8 @@ val set_query_span_threshold_ns : int -> unit
     consult a process-wide bounded LRU keyed by (table uid, operation,
     predicate, order, limit) and validated against {!Table.epoch}: any
     mutation of the table invalidates its cached results on the next
-    lookup.  The [*_stats] and [*_profiled] variants never consult the
-    cache — their callers asked to observe the execution.  Hits,
+    lookup.  The [*_observed] entry points never consult the cache —
+    their callers asked to observe the execution.  Hits,
     misses, evictions and invalidations tick the
     [prov.query.cache.*] metrics. *)
 

@@ -373,8 +373,7 @@ let parse input =
 type result = { columns : string list; rows : Value.t list list }
 
 (* Validate referenced columns up front for decent error messages. *)
-let validate db ast =
-  let table = Database.table db ast.table in
+let validate table ast =
   let schema = Table.schema table in
   let check col = ignore (Schema.column_index schema col) in
   let rec check_pred = function
@@ -401,152 +400,91 @@ let validate db ast =
   | `Aggregate (Sum c | Avg c | Min c | Max c) -> check c
   | `Aggregate Count_star -> ())
 
-let execute_stats db ast =
-  let table = Database.table db ast.table in
-  let schema = Table.schema table in
-  validate db ast;
+(* The one dispatch: run the statement's operator cold through [sink].
+   Returns the executor's output before the statement shapes it, the
+   executor's statistics and what the sink collected. *)
+let run sink table ast =
+  let where = ast.where in
   match (ast.group_by, ast.projection) with
-  | Some group, _ ->
-    let groups, stats = Query_exec.group_count_stats ~by:group ~where:ast.where table in
-    let groups =
-      match ast.limit with
-      | None -> groups
-      | Some n -> List.filteri (fun i _ -> i < n) groups
-    in
-    ( {
-        columns = [ group; "count" ];
-        rows = List.map (fun (v, n) -> [ v; Value.Int n ]) groups;
-      },
-      stats )
+  | Some by, _ ->
+    let groups, stats, observed = Query_exec.group_count_observed sink ~by ~where table in
+    (Query_cache.Groups groups, stats, observed)
   | None, `Aggregate Count_star ->
-    let n, stats = Query_exec.count_stats ~where:ast.where table in
-    ({ columns = [ "count" ]; rows = [ [ Value.Int n ] ] }, stats)
-  | None, `Aggregate agg ->
-    let col =
-      match agg with
-      | Sum c | Avg c | Min c | Max c -> c
-      | Count_star -> assert false
+    let n, stats, observed = Query_exec.count_observed sink ~where table in
+    (Query_cache.Count n, stats, observed)
+  | None, `Aggregate _ ->
+    let hits, stats, observed = Query_exec.select_observed sink ~where table in
+    (Query_cache.Rows hits, stats, observed)
+  | None, (`All | `Columns _) ->
+    let hits, stats, observed =
+      Query_exec.select_observed sink ~where ~order_by:ast.order_by ?limit:ast.limit table
     in
-    let hits, stats = Query_exec.select_stats ~where:ast.where table in
-    let cells =
-      List.filter_map
-        (fun (_, row) ->
-          let v = Row.get schema row col in
-          if Value.is_null v then None else Some v)
-        hits
-    in
-    let name, value =
-      match agg with
-      | Sum _ ->
-        ("sum", Value.Real (List.fold_left (fun acc v -> acc +. Value.to_real v) 0.0 cells))
-      | Avg _ ->
-        ( "avg",
-          if cells = [] then Value.Null
-          else
-            Value.Real
-              (List.fold_left (fun acc v -> acc +. Value.to_real v) 0.0 cells
-              /. float_of_int (List.length cells)) )
-      | Min _ ->
-        ("min", match cells with [] -> Value.Null | v :: r -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v r)
-      | Max _ ->
-        ("max", match cells with [] -> Value.Null | v :: r -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v r)
-      | Count_star -> assert false
-    in
-    ({ columns = [ name ]; rows = [ [ value ] ] }, stats)
-  | None, ((`All | `Columns _) as projection) ->
-    let hits, stats =
-      Query_exec.select_stats ~where:ast.where ~order_by:ast.order_by ?limit:ast.limit table
-    in
-    let columns =
-      match projection with
-      | `All ->
-        "rowid" :: Array.to_list (Array.map (fun (c : Column.t) -> c.Column.name) (Schema.columns schema))
-      | `Columns cols -> cols
-    in
-    let project (rowid, row) =
-      match projection with
-      | `All -> Value.Int rowid :: Array.to_list row
-      | `Columns cols -> List.map (fun c -> Row.get schema row c) cols
-    in
-    ({ columns; rows = List.map project hits }, stats)
+    (Query_cache.Rows hits, stats, observed)
 
-(* EXPLAIN ANALYZE: the same dispatch as [execute_stats], but through
-   the executor's profiled entry points, so the caller additionally
-   gets the per-operator profile tree.  The result-shaping code
-   (projection, aggregate folds) runs outside the profile; the profile
-   root covers the executor work, which is what the rendered latency
-   reports. *)
-let execute_profiled db ast =
-  let table = Database.table db ast.table in
-  let schema = Table.schema table in
-  validate db ast;
-  match (ast.group_by, ast.projection) with
-  | Some group, _ ->
-    let groups, stats, profile =
-      Query_exec.group_count_profiled ~by:group ~where:ast.where table
-    in
+(* The statement's result from the executor's output: GROUP BY's LIMIT,
+   the aggregate folds and the projection. *)
+let shape ast schema output =
+  match (output, ast.projection) with
+  | Query_cache.Groups groups, _ ->
     let groups =
       match ast.limit with
       | None -> groups
       | Some n -> List.filteri (fun i _ -> i < n) groups
     in
-    ( {
-        columns = [ group; "count" ];
-        rows = List.map (fun (v, n) -> [ v; Value.Int n ]) groups;
-      },
-      stats,
-      profile )
-  | None, `Aggregate Count_star ->
-    let n, stats, profile = Query_exec.count_profiled ~where:ast.where table in
-    ({ columns = [ "count" ]; rows = [ [ Value.Int n ] ] }, stats, profile)
-  | None, `Aggregate agg ->
-    let col =
-      match agg with
-      | Sum c | Avg c | Min c | Max c -> c
-      | Count_star -> assert false
-    in
-    let hits, stats, profile = Query_exec.select_profiled ~where:ast.where table in
-    let cells =
+    (* [run] only yields groups for a GROUP BY, whose column leads. *)
+    {
+      columns = Option.to_list ast.group_by @ [ "count" ];
+      rows = List.map (fun (v, n) -> [ v; Value.Int n ]) groups;
+    }
+  | Query_cache.Count n, _ -> { columns = [ "count" ]; rows = [ [ Value.Int n ] ] }
+  | Query_cache.Rows hits, `Aggregate agg ->
+    let cells col =
       List.filter_map
         (fun (_, row) ->
           let v = Row.get schema row col in
           if Value.is_null v then None else Some v)
         hits
     in
+    let sum cells = List.fold_left (fun acc v -> acc +. Value.to_real v) 0.0 cells in
+    let extreme keep = function
+      | [] -> Value.Null
+      | v :: r -> List.fold_left (fun a b -> if keep (Value.compare b a) then b else a) v r
+    in
     let name, value =
       match agg with
-      | Sum _ ->
-        ("sum", Value.Real (List.fold_left (fun acc v -> acc +. Value.to_real v) 0.0 cells))
-      | Avg _ ->
-        ( "avg",
-          if cells = [] then Value.Null
-          else
-            Value.Real
-              (List.fold_left (fun acc v -> acc +. Value.to_real v) 0.0 cells
-              /. float_of_int (List.length cells)) )
-      | Min _ ->
-        ("min", match cells with [] -> Value.Null | v :: r -> List.fold_left (fun a b -> if Value.compare b a < 0 then b else a) v r)
-      | Max _ ->
-        ("max", match cells with [] -> Value.Null | v :: r -> List.fold_left (fun a b -> if Value.compare b a > 0 then b else a) v r)
-      | Count_star -> assert false
+      | Sum c -> ("sum", Value.Real (sum (cells c)))
+      | Avg c ->
+        let cs = cells c in
+        ("avg", if cs = [] then Value.Null else Value.Real (sum cs /. float_of_int (List.length cs)))
+      | Min c -> ("min", extreme (fun d -> d < 0) (cells c))
+      | Max c -> ("max", extreme (fun d -> d > 0) (cells c))
+      | Count_star -> ("count", Value.Int (List.length hits))
     in
-    ({ columns = [ name ]; rows = [ [ value ] ] }, stats, profile)
-  | None, ((`All | `Columns _) as projection) ->
-    let hits, stats, profile =
-      Query_exec.select_profiled ~where:ast.where ~order_by:ast.order_by ?limit:ast.limit table
-    in
-    let columns =
-      match projection with
-      | `All ->
-        "rowid" :: Array.to_list (Array.map (fun (c : Column.t) -> c.Column.name) (Schema.columns schema))
-      | `Columns cols -> cols
-    in
-    let project (rowid, row) =
-      match projection with
-      | `All -> Value.Int rowid :: Array.to_list row
-      | `Columns cols -> List.map (fun c -> Row.get schema row c) cols
-    in
-    ({ columns; rows = List.map project hits }, stats, profile)
+    { columns = [ name ]; rows = [ [ value ] ] }
+  | Query_cache.Rows hits, `All ->
+    {
+      columns =
+        "rowid"
+        :: Array.to_list (Array.map (fun (c : Column.t) -> c.Column.name) (Schema.columns schema));
+      rows = List.map (fun (rowid, row) -> Value.Int rowid :: Array.to_list row) hits;
+    }
+  | Query_cache.Rows hits, `Columns cols ->
+    {
+      columns = cols;
+      rows = List.map (fun (_, row) -> List.map (fun c -> Row.get schema row c) cols) hits;
+    }
+
+(* Validate, run through [sink], shape.  Also returns the executor's
+   output, from which EXPLAIN ANALYZE reads the rows that matched. *)
+let execute_observed sink db ast =
+  let table = Database.table db ast.table in
+  validate table ast;
+  let output, stats, observed = run sink table ast in
+  (shape ast (Table.schema table) output, output, stats, observed)
+
+let execute_stats db ast =
+  let result, _, stats, () = execute_observed Query_exec.Null db ast in
+  (result, stats)
 
 let execute db ast = fst (execute_stats db ast)
 let query db input = execute db (parse input)
@@ -577,40 +515,60 @@ type explain_report = {
   stats : Query_exec.exec_stats;
 }
 
-let explain_query db input =
-  let ast = parse input in
-  let table = Database.table db ast.table in
-  let detail = Query_exec.plan_detail table ast.where in
-  let _, stats = execute_stats db ast in
-  { table = ast.table; plan = stats.Query_exec.plan;
-    estimated_rows = detail.Query_exec.estimated_rows;
-    est_from_stats = detail.Query_exec.est_from_stats; stats }
+(* EXPLAIN and EXPLAIN ANALYZE differ only in the sink and the
+   rendering: both plan, execute cold and report the statement's own
+   result row count as rows returned. *)
+let report sink db (ast : ast) =
+  let detail = Query_exec.plan_detail (Database.table db ast.table) ast.where in
+  let result, output, stats, observed = execute_observed sink db ast in
+  ( {
+      table = ast.table;
+      plan = stats.Query_exec.plan;
+      estimated_rows = detail.Query_exec.estimated_rows;
+      est_from_stats = detail.Query_exec.est_from_stats;
+      stats = { stats with Query_exec.rows_returned = List.length result.rows };
+    },
+    output,
+    observed )
 
-let est_source from_stats = if from_stats then "statistics catalog" else "heuristic"
+let explain_query db input =
+  let r, _, () = report Query_exec.Null db (parse input) in
+  r
+
+let header r ~matched ~latency_ns =
+  [
+    Printf.sprintf "table:          %s" r.table;
+    Printf.sprintf "plan:           %s" (plan_to_string r.plan);
+    Printf.sprintf "estimated rows: %d (%s)" r.estimated_rows
+      (if r.est_from_stats then "statistics catalog" else "heuristic");
+    Printf.sprintf "rows scanned:   %d" r.stats.Query_exec.rows_scanned;
+  ]
+  @ matched
+  @ [
+      Printf.sprintf "rows returned:  %d" r.stats.Query_exec.rows_returned;
+      Printf.sprintf "latency:        %.3f ms" (float_of_int latency_ns /. 1e6);
+    ]
 
 let render_explain r =
-  let s = r.stats in
-  String.concat "\n"
-    [
-      Printf.sprintf "table:          %s" r.table;
-      Printf.sprintf "plan:           %s" (plan_to_string r.plan);
-      Printf.sprintf "estimated rows: %d (%s)" r.estimated_rows (est_source r.est_from_stats);
-      Printf.sprintf "rows scanned:   %d" s.Query_exec.rows_scanned;
-      Printf.sprintf "rows returned:  %d" s.Query_exec.rows_returned;
-      Printf.sprintf "latency:        %.3f ms"
-        (float_of_int s.Query_exec.elapsed_ns /. 1e6);
-    ]
+  String.concat "\n" (header r ~matched:[] ~latency_ns:r.stats.Query_exec.elapsed_ns)
 
 (* --- EXPLAIN ANALYZE ------------------------------------------------ *)
 
 type analyze_report = {
-  a_table : string;
-  a_plan : Query_exec.plan;
-  a_estimated_rows : int;
-  a_est_from_stats : bool;
-  a_stats : Query_exec.exec_stats;
-  a_profile : Query_exec.profile;
+  explain : explain_report;
+  rows_matched : int;
+  profile : Query_exec.profile;
 }
+
+(* The rows that satisfied WHERE, which is what the catalog estimates:
+   every row a GROUP BY counted into some group, else the count or the
+   filter phase's output. *)
+let rows_matched output (profile : Query_exec.profile) =
+  match output with
+  | Query_cache.Groups groups -> List.fold_left (fun acc (_, n) -> acc + n) 0 groups
+  | Query_cache.Rows _ | Query_cache.Count _ ->
+    (List.find (fun c -> String.equal c.Query_exec.op "filter") profile.Query_exec.children)
+      .Query_exec.rows_out
 
 let analyze_query db input =
   let ast = parse input in
@@ -619,47 +577,32 @@ let analyze_query db input =
      make sure the catalog can actually estimate by analyzing the table
      when its entry is missing or stale. *)
   if Option.is_none (Stats.fresh table) then ignore (Stats.analyze table);
-  let detail = Query_exec.plan_detail table ast.where in
-  let _, stats, profile = execute_profiled db ast in
-  {
-    a_table = ast.table;
-    a_plan = stats.Query_exec.plan;
-    a_estimated_rows = detail.Query_exec.estimated_rows;
-    a_est_from_stats = detail.Query_exec.est_from_stats;
-    a_stats = stats;
-    a_profile = profile;
-  }
+  let explain, output, profile = report Query_exec.Profiling db ast in
+  { explain; rows_matched = rows_matched output profile; profile }
 
-(* actual/estimated mismatch factor, >= 1, on the returned-row count. *)
+(* actual/estimated mismatch factor, >= 1, on the rows that matched. *)
 let estimate_error r =
-  let est = Float.max 1.0 (float_of_int r.a_estimated_rows) in
-  let act = Float.max 1.0 (float_of_int r.a_stats.Query_exec.rows_returned) in
+  let est = Float.max 1.0 (float_of_int r.explain.estimated_rows) in
+  let act = Float.max 1.0 (float_of_int r.rows_matched) in
   Float.max (act /. est) (est /. act)
 
 let render_analyze r =
   (* The reported latency is the profile root's interval — the same
      clock the per-operator rows tile — so the column of percentages is
      exact against the line above it. *)
+  let matched =
+    Printf.sprintf "rows matched:   %d (estimate off by %.1fx)" r.rows_matched (estimate_error r)
+  in
   String.concat "\n"
-    [
-      Printf.sprintf "table:          %s" r.a_table;
-      Printf.sprintf "plan:           %s" (plan_to_string r.a_plan);
-      Printf.sprintf "estimated rows: %d (%s)" r.a_estimated_rows
-        (est_source r.a_est_from_stats);
-      Printf.sprintf "rows scanned:   %d" r.a_stats.Query_exec.rows_scanned;
-      Printf.sprintf "rows returned:  %d (estimate off by %.1fx)"
-        r.a_stats.Query_exec.rows_returned (estimate_error r);
-      Printf.sprintf "latency:        %.3f ms"
-        (float_of_int r.a_profile.Query_exec.dur_ns /. 1e6);
-      "";
-      Query_exec.render_profile r.a_profile;
-    ]
+    (header r.explain ~matched:[ matched ] ~latency_ns:r.profile.Query_exec.dur_ns
+    @ [ ""; Query_exec.render_profile r.profile ])
 
 let analyze_to_json r =
+  let e = r.explain in
   Printf.sprintf
-    "{\"table\":\"%s\",\"plan\":\"%s\",\"estimated_rows\":%d,\"est_from_stats\":%b,\"rows_scanned\":%d,\"rows_returned\":%d,\"profile\":%s}"
-    (Provkit_obs.Metrics.json_escape r.a_table)
-    (Provkit_obs.Metrics.json_escape (plan_to_string r.a_plan))
-    r.a_estimated_rows r.a_est_from_stats r.a_stats.Query_exec.rows_scanned
-    r.a_stats.Query_exec.rows_returned
-    (Query_exec.profile_to_json r.a_profile)
+    "{\"table\":\"%s\",\"plan\":\"%s\",\"estimated_rows\":%d,\"est_from_stats\":%b,\"rows_scanned\":%d,\"rows_matched\":%d,\"rows_returned\":%d,\"profile\":%s}"
+    (Provkit_obs.Metrics.json_escape e.table)
+    (Provkit_obs.Metrics.json_escape (plan_to_string e.plan))
+    e.estimated_rows e.est_from_stats e.stats.Query_exec.rows_scanned r.rows_matched
+    e.stats.Query_exec.rows_returned
+    (Query_exec.profile_to_json r.profile)

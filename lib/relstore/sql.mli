@@ -18,7 +18,11 @@
     v}
 
     Queries compile to {!Predicate} trees and run through {!Query_exec},
-    so the index planner applies exactly as for programmatic queries. *)
+    so the index planner applies exactly as for programmatic queries.
+    Every entry point shares one dispatch — the statement's operator
+    run cold through a {!Query_exec.sink} — and one result-shaping
+    step.  {!execute}, {!execute_stats} and EXPLAIN use the null sink;
+    EXPLAIN ANALYZE uses the profiling sink. *)
 
 type aggregate = Count_star | Sum of string | Avg of string | Min of string | Max of string
 
@@ -47,7 +51,8 @@ val execute : Database.t -> ast -> result
 
 val execute_stats : Database.t -> ast -> result * Query_exec.exec_stats
 (** {!execute} plus the executor's statistics (plan used, rows scanned
-    vs. returned, latency) for the query's table access. *)
+    vs. returned, latency) for the query's table access.  Like
+    {!execute}, it never consults the result cache. *)
 
 val query : Database.t -> string -> result
 (** [parse] + [execute]. *)
@@ -68,6 +73,9 @@ type explain_report = {
   estimated_rows : int;  (** {!Query_exec.plan_detail}'s estimate *)
   est_from_stats : bool;  (** the estimate used a fresh catalog entry *)
   stats : Query_exec.exec_stats;
+      (** the executor's statistics, except that [rows_returned] counts
+          the statement's result rows (after a GROUP BY's LIMIT and
+          aggregate folds) *)
 }
 
 val explain_query : Database.t -> string -> explain_report
@@ -78,35 +86,31 @@ val explain_query : Database.t -> string -> explain_report
 val render_explain : explain_report -> string
 (** Multi-line human-readable rendering of a report. *)
 
-val execute_profiled : Database.t -> ast -> result * Query_exec.exec_stats * Query_exec.profile
-(** {!execute_stats} through the executor's profiled entry points: the
-    same result, plus the per-operator profile tree.  The profile root
-    covers the executor work (result shaping — projection, aggregate
-    folds — happens outside it). *)
-
 type analyze_report = {
-  a_table : string;
-  a_plan : Query_exec.plan;
-  a_estimated_rows : int;
-  a_est_from_stats : bool;
-  a_stats : Query_exec.exec_stats;
-  a_profile : Query_exec.profile;
+  explain : explain_report;  (** the same header EXPLAIN reports *)
+  rows_matched : int;
+      (** rows that satisfied WHERE — the actual [estimated_rows] is
+          judged against: the filter phase's output, or every row a
+          GROUP BY counted *)
+  profile : Query_exec.profile;
+      (** covers the executor work; result shaping (projection,
+          aggregate folds) happens outside it *)
 }
 
 val analyze_query : Database.t -> string -> analyze_report
-(** EXPLAIN ANALYZE: parse, plan, and execute the query through
-    {!execute_profiled} — the [provctl sql --analyze] surface.
+(** EXPLAIN ANALYZE: parse, plan, and execute the query with the
+    profiling sink — the [provctl sql --analyze] surface.
     Analyzes the table into the statistics catalog first when its entry
     is missing or stale, so the report's estimates (and the profile's
     per-operator [est_rows]) always come from fresh statistics. *)
 
 val estimate_error : analyze_report -> float
-(** Actual/estimated mismatch factor on returned rows, [>= 1.0]
-    (1.0 = perfect estimate). *)
+(** Mismatch factor between [rows_matched] and the estimated rows,
+    [>= 1.0] (1.0 = perfect estimate). *)
 
 val render_analyze : analyze_report -> string
 (** The {!render_explain} header (latency taken from the profile root,
-    estimate error against the returned-row count) followed by the
+    plus the matched rows and their estimate error) followed by the
     indented operator tree with rows in/out, catalog estimates where
     available, and percent of total per node. *)
 

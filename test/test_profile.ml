@@ -1,10 +1,10 @@
-(* EXPLAIN ANALYZE: the per-operator profile trees returned by the
-   [*_profiled] executor entry points.  The contract under test is that
-   the children tile the root — leaf durations share boundary
-   timestamps, so their sum matches the root's latency (the acceptance
-   bar is 5%; shared boundaries make it exact up to clock granularity) —
-   and that rows in/out describe what each operator actually did, for
-   every access path the planner can choose. *)
+(* EXPLAIN ANALYZE: the per-operator profile trees the [*_observed]
+   executor entry points return under the profiling sink.  The contract
+   under test is that the children tile the root — leaf durations share
+   boundary timestamps, so their sum matches the root's latency (the
+   acceptance bar is 5%; shared boundaries make it exact up to clock
+   granularity) — and that rows in/out describe what each operator
+   actually did, for every access path the planner can choose. *)
 
 module Schema = Relstore.Schema
 module Column = Relstore.Column
@@ -69,7 +69,7 @@ let check_rows_flow path p =
 let select_spine = [ "probe"; "fetch"; "filter"; "sort"; "limit" ]
 
 let profiled_select t where =
-  let rows, stats, profile = Q.select_profiled ~where t in
+  let rows, stats, profile = Q.select_observed Q.Profiling ~where t in
   check_tiling ~pct:5 profile.Q.op profile;
   check_rows_flow profile.Q.op profile;
   (rows, stats, profile)
@@ -116,7 +116,7 @@ let test_index_range_profile () =
 let test_sort_limit_profile () =
   let t = fixture () in
   let rows, _, profile =
-    Q.select_profiled
+    Q.select_observed Q.Profiling
       ~where:(P.Cmp (P.Ge, "day", Value.Int 0))
       ~order_by:[ Q.Desc "day" ]
       ~limit:7 t
@@ -129,11 +129,11 @@ let test_sort_limit_profile () =
 
 let test_count_group_profiles () =
   let t = fixture () in
-  let n, _, cp = Q.count_profiled ~where:(P.Eq ("day", Value.Int 4)) t in
+  let n, _, cp = Q.count_observed Q.Profiling ~where:(P.Eq ("day", Value.Int 4)) t in
   check_tiling ~pct:5 cp.Q.op cp;
   Alcotest.(check (list string)) "count spine" [ "probe"; "fetch"; "filter" ] (ops cp);
   Alcotest.(check int) "count matches" 10 n;
-  let groups, _, gp = Q.group_count_profiled ~by:"tab" t in
+  let groups, _, gp = Q.group_count_observed Q.Profiling ~by:"tab" t in
   check_tiling ~pct:5 gp.Q.op gp;
   Alcotest.(check (list string)) "group spine" [ "probe"; "fetch"; "aggregate"; "sort" ]
     (ops gp);
@@ -142,7 +142,7 @@ let test_count_group_profiles () =
 let test_join_profile () =
   let left = fixture () in
   let right = fixture () in
-  let _, _, jp = Q.join_profiled ~on:[ ("day", "day") ] left right in
+  let _, _, jp = Q.join_observed Q.Profiling ~on:[ ("day", "day") ] left right in
   check_tiling ~pct:5 jp.Q.op jp;
   let spine = ops jp in
   Alcotest.(check bool) "join spine starts with the left input" true
@@ -162,8 +162,17 @@ let analyze db sql expected_plan =
   Alcotest.(check bool)
     (Printf.sprintf "plan for %S" sql)
     true
-    (r.Sql.a_plan = expected_plan);
-  check_tiling ~pct:5 r.Sql.a_profile.Q.op r.Sql.a_profile;
+    (r.Sql.explain.Sql.plan = expected_plan);
+  check_tiling ~pct:5 r.Sql.profile.Q.op r.Sql.profile;
+  (* The estimate predicts the rows satisfying WHERE, and is judged
+     against them; rows returned is what the statement returns. *)
+  let error = Sql.estimate_error r in
+  if error > 2.0 then Alcotest.failf "%s: estimate reported off by %.1fx" sql error;
+  let returned = List.length (Sql.execute db (Sql.parse sql)).Sql.rows in
+  Alcotest.(check int) (sql ^ ": analyze rows returned") returned
+    r.Sql.explain.Sql.stats.Q.rows_returned;
+  Alcotest.(check int) (sql ^ ": explain rows returned") returned
+    (Sql.explain_query db sql).Sql.stats.Q.rows_returned;
   let rendered = Sql.render_analyze r in
   let has needle = Provkit_util.Strutil.contains_substring ~needle rendered in
   Alcotest.(check bool) "rendering shows the operator tree" true (has "probe");
@@ -177,11 +186,13 @@ let test_analyze_all_plan_kinds () =
   analyze db "SELECT * FROM visits WHERE tab = 2" Q.Full_scan;
   analyze db "SELECT * FROM visits WHERE day = 4" (Q.Index_eq "by_day");
   analyze db "SELECT * FROM visits WHERE day BETWEEN 2 AND 5 ORDER BY day DESC LIMIT 5"
-    (Q.Index_range "by_day")
+    (Q.Index_range "by_day");
+  analyze db "SELECT COUNT(*) FROM visits WHERE day = 4" (Q.Index_eq "by_day");
+  analyze db "SELECT tab, COUNT(*) FROM visits GROUP BY tab LIMIT 2" Q.Full_scan
 
 let test_profile_render_and_fold () =
   let t = fixture () in
-  let _, _, profile = Q.select_profiled ~where:(P.Eq ("day", Value.Int 4)) t in
+  let _, _, profile = Q.select_observed Q.Profiling ~where:(P.Eq ("day", Value.Int 4)) t in
   let folded = Q.fold_profile profile in
   Alcotest.(check bool) "fold is pre-order from the root" true
     (match folded with (root, _) :: _ -> root = profile.Q.op | [] -> false);

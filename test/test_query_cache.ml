@@ -189,6 +189,20 @@ let test_property_cached_equals_cold () =
     | _ -> Some [ QE.Desc "v"; QE.Asc "k" ]
   in
   let pick_live () = List.nth !live (Prng.int rng (List.length !live)) in
+  (* The profiling sink must not change what a query does: same result
+     and statistics as the cold run, and a profile root that counts the
+     result's rows. *)
+  let agree op step (cold, (cs : QE.exec_stats), ()) (profiled, (ps : QE.exec_stats), p) ~rows =
+    if profiled <> cold then Alcotest.failf "profiled %s diverged at step %d" op step;
+    if
+      ps.QE.plan <> cs.QE.plan
+      || ps.QE.rows_scanned <> cs.QE.rows_scanned
+      || ps.QE.rows_returned <> cs.QE.rows_returned
+    then Alcotest.failf "profiled %s stats diverged at step %d" op step;
+    if p.QE.rows_out <> rows then
+      Alcotest.failf "profiled %s root rows_out %d, result has %d, at step %d" op p.QE.rows_out
+        rows step
+  in
   let queries = ref 0 in
   for step = 1 to 600 do
     match Prng.int rng 10 with
@@ -209,17 +223,24 @@ let test_property_cached_equals_cold () =
         let order_by = random_order () in
         let limit = if Prng.int rng 2 = 0 then None else Some (Prng.int rng 6) in
         let cached = QE.select ?order_by ~where ?limit t in
-        let cold, _ = QE.select_stats ?order_by ~where ?limit t in
-        if cached <> cold then Alcotest.failf "select diverged at step %d" step
+        let ((cold, _, ()) as run) = QE.select_observed QE.Null ?order_by ~where ?limit t in
+        if cached <> cold then Alcotest.failf "select diverged at step %d" step;
+        agree "select" step run
+          (QE.select_observed QE.Profiling ?order_by ~where ?limit t)
+          ~rows:(List.length cold)
       | 1 ->
         let cached = QE.count ~where t in
-        let cold, _ = QE.count_stats ~where t in
-        if cached <> cold then Alcotest.failf "count diverged at step %d" step
+        let ((cold, _, ()) as run) = QE.count_observed QE.Null ~where t in
+        if cached <> cold then Alcotest.failf "count diverged at step %d" step;
+        agree "count" step run (QE.count_observed QE.Profiling ~where t) ~rows:1
       | _ ->
         let by = if Prng.int rng 2 = 0 then "k" else "v" in
         let cached = QE.group_count ~by ~where t in
-        let cold, _ = QE.group_count_stats ~by ~where t in
-        if cached <> cold then Alcotest.failf "group_count diverged at step %d" step
+        let ((cold, _, ()) as run) = QE.group_count_observed QE.Null ~by ~where t in
+        if cached <> cold then Alcotest.failf "group_count diverged at step %d" step;
+        agree "group_count" step run
+          (QE.group_count_observed QE.Profiling ~by ~where t)
+          ~rows:(List.length cold)
     end
   done;
   Alcotest.(check bool) "sweep ran a meaningful number of queries" true (!queries > 300);

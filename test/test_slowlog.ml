@@ -184,9 +184,10 @@ let test_executor_feeds_log () =
     ignore (R.Table.insert_fields t [ ("qty", R.Value.Int (i mod 4)) ])
   done;
   let where = R.Predicate.Eq ("qty", R.Value.Int 1) in
-  (* *_stats bypasses the result cache, so each run truly executes. *)
-  ignore (R.Query_exec.select_stats ~where t);
-  ignore (R.Query_exec.select_stats ~where t);
+  (* The observed entry points bypass the result cache, so each run
+     truly executes. *)
+  ignore (R.Query_exec.select_observed R.Query_exec.Null ~where t);
+  ignore (R.Query_exec.select_observed R.Query_exec.Null ~where t);
   let e =
     match
       List.find_opt
@@ -201,18 +202,42 @@ let test_executor_feeds_log () =
   Alcotest.check Alcotest.int "rows returned recorded" 5 e.Slowlog.e_rows_returned;
   (* The predicate shape is part of the fingerprint: a different filter
      lands in a different entry. *)
-  ignore (R.Query_exec.select_stats ~where:(R.Predicate.Eq ("qty", R.Value.Int 2)) t);
+  ignore
+    (R.Query_exec.select_observed R.Query_exec.Null
+       ~where:(R.Predicate.Eq ("qty", R.Value.Int 2))
+       t);
   let selects =
     List.filter (fun e -> String.equal e.Slowlog.e_table "items") (Slowlog.entries ())
   in
   Alcotest.check Alcotest.int "distinct predicate, distinct entry" 2
-    (List.length selects)
+    (List.length selects);
+  (* One join lands in one fingerprint whichever sink ran it. *)
+  let day_table name =
+    let d = R.Table.create (R.Schema.make ~name [ R.Column.make "day" R.Value.Tint ]) in
+    for i = 1 to 6 do
+      ignore (R.Table.insert_fields d [ ("day", R.Value.Int (i mod 3)) ])
+    done;
+    d
+  in
+  let visits = day_table "visits" and days = day_table "days" in
+  let on = [ ("day", "day") ] in
+  ignore (R.Query_exec.join_observed R.Query_exec.Null ~on visits days);
+  ignore (R.Query_exec.join_observed R.Query_exec.Profiling ~on visits days);
+  match
+    List.filter
+      (fun e -> String.equal e.Slowlog.e_table "days" && String.equal e.Slowlog.e_op "join")
+      (Slowlog.entries ())
+  with
+  | [ e ] ->
+    Alcotest.check Alcotest.int "both joins merged" 2 e.Slowlog.e_count;
+    Alcotest.check Alcotest.string "join detail" "on day" e.Slowlog.e_detail
+  | joins -> Alcotest.failf "expected one join entry, got %d" (List.length joins)
 
 let test_threshold_filters () =
   with_slowlog ~threshold:Slowlog.max_threshold_ns @@ fun () ->
   let t = R.Table.create (R.Schema.make ~name:"items" [ R.Column.make "qty" R.Value.Tint ]) in
   ignore (R.Table.insert_fields t [ ("qty", R.Value.Int 1) ]);
-  ignore (R.Query_exec.select_stats t);
+  ignore (R.Query_exec.select_observed R.Query_exec.Null t);
   Alcotest.check Alcotest.int "fast queries not noted" 0 (Slowlog.length ())
 
 let suite =

@@ -316,7 +316,7 @@ let test_misestimate_detector () =
   let where = R.Predicate.Eq ("zip2", R.Value.Int 0) in
   let mis_before = Metrics.counter_value Names.stats_misestimates in
   let incidents_before = Flight.recorded () in
-  let rows, _, profile = R.Query_exec.select_profiled ~where t in
+  let rows, _, profile = R.Query_exec.select_observed R.Query_exec.Profiling ~where t in
   Alcotest.check Alcotest.int "hitter rows returned"
     (actual_rows t where) (List.length rows);
   if Metrics.counter_value Names.stats_misestimates <= mis_before then
@@ -332,15 +332,13 @@ let test_misestimate_detector () =
   | None -> Alcotest.fail "profiled run with fresh stats lost est_rows");
   (* A well-estimated query must not trip the detector. *)
   let mis_mid = Metrics.counter_value Names.stats_misestimates in
-  ignore (R.Query_exec.select_profiled ~where:(R.Predicate.Eq ("rank", R.Value.Int 0)) t);
+  ignore
+    (R.Query_exec.select_observed R.Query_exec.Profiling
+       ~where:(R.Predicate.Eq ("rank", R.Value.Int 0))
+       t);
   Alcotest.check Alcotest.int "accurate estimate stays quiet" mis_mid
     (Metrics.counter_value Names.stats_misestimates);
   Stats.invalidate t
-
-let test_misestimate_threshold_validation () =
-  Alcotest.check_raises "below 1.0 rejected"
-    (Invalid_argument "Query_exec.set_misestimate_threshold: must be >= 1.0") (fun () ->
-      R.Query_exec.set_misestimate_threshold 0.5)
 
 (* --- rendering --- *)
 
@@ -372,7 +370,5 @@ let suite =
       test_freshness_and_fallback;
     Alcotest.test_case "sampled analyze extrapolates" `Quick test_sampled_analyze;
     Alcotest.test_case "misestimate detector" `Quick test_misestimate_detector;
-    Alcotest.test_case "misestimate threshold validation" `Quick
-      test_misestimate_threshold_validation;
     Alcotest.test_case "json and render" `Quick test_json_and_render;
   ]
