@@ -340,6 +340,35 @@ let test_misestimate_detector () =
     (Metrics.counter_value Names.stats_misestimates);
   Stats.invalidate t
 
+(* The detector rides on the profiling sink only: the null sink reads
+   no estimate, so the same misestimated predicate stays quiet there.
+   Under profiling, count judges the estimate against the rows that
+   matched, not its one-row result. *)
+let test_misestimate_sink_scope () =
+  with_metrics_enabled @@ fun () ->
+  let t = zipf_table () in
+  ignore (Stats.analyze t);
+  let where = R.Predicate.Eq ("zip2", R.Value.Int 0) in
+  let mis_before = Metrics.counter_value Names.stats_misestimates in
+  let rows, _, () = R.Query_exec.select_observed R.Query_exec.Null ~where t in
+  let n, _, () = R.Query_exec.count_observed R.Query_exec.Null ~where t in
+  Alcotest.check Alcotest.int "null count agrees with select" (List.length rows) n;
+  Alcotest.check Alcotest.int "null sink leaves the detector alone" mis_before
+    (Metrics.counter_value Names.stats_misestimates);
+  let n', _, profile = R.Query_exec.count_observed R.Query_exec.Profiling ~where t in
+  Alcotest.check Alcotest.int "profiled count agrees" n n';
+  if Metrics.counter_value Names.stats_misestimates <> mis_before + 1 then
+    Alcotest.fail "profiled count did not tick the misestimate counter once";
+  (* Count's estimate sits on its filter phase, the phase it judges. *)
+  (match
+     List.find_opt
+       (fun c -> String.equal c.R.Query_exec.op "filter")
+       profile.R.Query_exec.children
+   with
+  | Some { R.Query_exec.est_rows = Some _; _ } -> ()
+  | _ -> Alcotest.fail "profiled count with fresh stats lost the filter estimate");
+  Stats.invalidate t
+
 (* --- rendering --- *)
 
 let test_json_and_render () =
@@ -370,5 +399,6 @@ let suite =
       test_freshness_and_fallback;
     Alcotest.test_case "sampled analyze extrapolates" `Quick test_sampled_analyze;
     Alcotest.test_case "misestimate detector" `Quick test_misestimate_detector;
+    Alcotest.test_case "misestimate detector sink scope" `Quick test_misestimate_sink_scope;
     Alcotest.test_case "json and render" `Quick test_json_and_render;
   ]
